@@ -1,12 +1,22 @@
 #include "gpu/thread_pool.h"
 
+#include <pthread.h>
+
 #include <cstdlib>
+#include <new>
 
 namespace gf::gpu {
 
 namespace {
 thread_local const thread_pool* tls_owner = nullptr;
-}
+
+// Bumped in the child of every fork().  Written only by the atfork child
+// handler, while the child still has a single thread, so a plain integer
+// is race-free (and the handler async-signal-safe).
+unsigned process_generation = 0;
+
+void on_fork_child() { ++process_generation; }
+}  // namespace
 
 thread_pool& thread_pool::instance() {
   static thread_pool pool(query_pool_size());
@@ -25,6 +35,10 @@ unsigned query_pool_size() {
 }
 
 thread_pool::thread_pool(unsigned num_workers) {
+  static const int atfork_registered =
+      ::pthread_atfork(nullptr, nullptr, on_fork_child);
+  (void)atfork_registered;
+  fork_generation_ = process_generation;
   if (num_workers < 1) num_workers = 1;
   workers_.reserve(num_workers - 1);
   for (unsigned i = 1; i < num_workers; ++i)
@@ -32,6 +46,20 @@ thread_pool::thread_pool(unsigned num_workers) {
 }
 
 thread_pool::~thread_pool() {
+  if (forked()) {
+    // The workers' threads do not exist in this process.  Joining them
+    // would hang, and a joinable std::thread's destructor terminates; the
+    // parent's parked workers still count as waiters on cv_start_, so
+    // destroying it would wait for them forever; and a mutex may be held
+    // by a thread that never returns.  Reuse the storage with fresh
+    // objects so that member destruction calls into none of them.
+    for (auto& t : workers_) new (&t) std::thread();
+    new (&cv_start_) std::condition_variable();
+    new (&cv_done_) std::condition_variable();
+    new (&launch_mu_) std::mutex();
+    new (&mu_) std::mutex();
+    return;
+  }
   {
     std::lock_guard lock(mu_);
     stop_ = true;
@@ -41,6 +69,10 @@ thread_pool::~thread_pool() {
 }
 
 bool thread_pool::in_worker() const { return tls_owner == this; }
+
+bool thread_pool::forked() const {
+  return fork_generation_ != process_generation;
+}
 
 void thread_pool::run_on_all(const std::function<void(unsigned)>& fn) {
   if (workers_.empty()) {
@@ -56,8 +88,10 @@ void thread_pool::run_on_all(const std::function<void(unsigned)>& fn) {
   // launch now degrades to inline serial execution of every worker id on
   // the caller (the same discipline nested launches already follow), so
   // exclusivity is never traded for a blocking wait that could stall an
-  // event loop behind a long foreign launch.
-  if (!launch_mu_.try_lock()) {
+  // event loop behind a long foreign launch.  A forked child takes the
+  // same inline path without touching launch_mu_ at all: its workers are
+  // gone, and the lock may be held by a thread that no longer exists.
+  if (forked() || !launch_mu_.try_lock()) {
     const thread_pool* prev_inline = tls_owner;
     tls_owner = this;
     const unsigned p = size();

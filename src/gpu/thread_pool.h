@@ -11,6 +11,12 @@
 //  * Nested launches execute inline on the calling worker (GPUs do not
 //    nest dynamic parallelism here either), which makes the primitives
 //    composable without deadlock.
+//  * fork() copies only the calling thread.  In a child forked after a
+//    pool was built, that pool's workers do not exist; it keeps the same
+//    size() and runs every launch inline and serially on the caller (the
+//    contended-launch discipline below), touching none of its locks or
+//    condition variables, and its destructor releases the dead workers
+//    without joining them.
 #pragma once
 
 #include <atomic>
@@ -48,7 +54,8 @@ class thread_pool {
   /// busy runs every worker id inline on itself instead (serial, in id
   /// order) — so `fn` must tolerate its worker ids executing sequentially
   /// on one thread, which every cursor/static-range decomposition in this
-  /// codebase does.  Never blocks behind a foreign launch.
+  /// codebase does.  Never blocks behind a foreign launch.  In a forked
+  /// child every launch takes that inline path.
   void run_on_all(const std::function<void(unsigned)>& fn);
 
   /// Dynamic parallel loop over [begin, end) in chunks of `grain`.
@@ -97,6 +104,11 @@ class thread_pool {
  private:
   void worker_loop(unsigned id);
 
+  /// True in a process forked after this pool was built: its workers are
+  /// threads of an ancestor process.
+  bool forked() const;
+
+  unsigned fork_generation_;  ///< the process generation that built the pool
   std::vector<std::thread> workers_;
   std::mutex launch_mu_;  ///< admits one top-level launch at a time
   std::mutex mu_;

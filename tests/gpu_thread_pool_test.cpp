@@ -1,12 +1,28 @@
 #include "gpu/thread_pool.h"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <csignal>
+#include <cstdio>
+#include <cstdlib>
 #include <numeric>
 #include <vector>
 
 #include "gpu/launch.h"
+
+// TSan supports fork from a multi-threaded process only barely (the child
+// loses the runtime's background machinery), so the fork drill is skipped
+// there, as the other suites' fork drills are.
+#if defined(__SANITIZE_THREAD__)
+#define GF_TSAN_ACTIVE 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define GF_TSAN_ACTIVE 1
+#endif
+#endif
 
 namespace gf::gpu {
 namespace {
@@ -141,6 +157,59 @@ TEST(ThreadPool, ConcurrentMutationVisibleAfterJoin) {
   std::vector<uint64_t> data(10000, 0);
   launch_threads(data.size(), [&](uint64_t i) { data[i] = i * i; });
   for (uint64_t i = 0; i < data.size(); ++i) ASSERT_EQ(data[i], i * i);
+}
+
+TEST(ThreadPool, ForkedChildLaunchesInlineAndExitsCleanly) {
+#ifdef GF_TSAN_ACTIVE
+  GTEST_SKIP() << "fork drills are unreliably slow under TSan";
+#endif
+  // fork() copies only the calling thread.  A child forked after the
+  // process-wide pool has started its workers inherits handles to threads
+  // that no longer exist; a launch there must still cover its range (run
+  // inline, serially) and the child's exit must not join or wait on them.
+  auto& pool = thread_pool::instance();
+  std::atomic<uint64_t> warm{0};
+  pool.parallel_for(0, 1000, 1, [&](uint64_t) {
+    warm.fetch_add(1, std::memory_order_relaxed);
+  });
+  ASSERT_EQ(warm.load(), 1000u);
+
+  std::fflush(nullptr);  // the child's exit must not re-flush our buffers
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    constexpr uint64_t kN = 50000;
+    std::vector<std::atomic<int>> hits(kN);
+    pool.parallel_for(0, kN, 16, [&](uint64_t i) {
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    pool.parallel_ranges(kN, [&](unsigned, uint64_t b, uint64_t e) {
+      for (uint64_t i = b; i < e; ++i)
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    bool exactly_once_each = true;
+    for (const auto& h : hits) exactly_once_each &= h.load() == 2;
+    // std::exit, not _exit: static destructors (the pool's among them)
+    // run in the child too.
+    std::exit(exactly_once_each ? 0 : 1);
+  }
+
+  // Bounded reap: a child stuck in a launch is killed at the deadline.
+  int ws = 0;
+  pid_t reaped = 0;
+  for (int spins = 0; spins < 1000 && reaped == 0; ++spins) {
+    reaped = ::waitpid(pid, &ws, WNOHANG);
+    if (reaped == 0) ::usleep(10000);
+  }
+  if (reaped == 0) {
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, &ws, 0);
+    FAIL() << "forked child did not exit within 10 s (hung in the pool)";
+  }
+  ASSERT_EQ(reaped, pid);
+  ASSERT_TRUE(WIFEXITED(ws)) << "child died by signal "
+                             << (WIFSIGNALED(ws) ? WTERMSIG(ws) : 0);
+  EXPECT_EQ(WEXITSTATUS(ws), 0) << "child launches missed or repeated indices";
 }
 
 }  // namespace

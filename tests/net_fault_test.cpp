@@ -331,7 +331,10 @@ TEST(NetFault, WrappedReplayRingFallsBackToSnapshot) {
 }
 
 TEST(NetFault, PrimaryRestartFromSnapshotReattachesReplicaBySnapshot) {
-  const std::string path = "/tmp/gf_fault_restart.gfs";
+  // Per-process path: ctest runs this suite at several pool widths at once.
+  const std::string path = std::string(::testing::TempDir()) +
+                           "gf_fault_restart_" + std::to_string(::getpid()) +
+                           ".gfs";
   std::remove(path.c_str());
 
   net::server_config pcfg;

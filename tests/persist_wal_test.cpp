@@ -129,6 +129,16 @@ size_t file_size(const std::string& path) {
   return static_cast<size_t>(std::filesystem::file_size(path));
 }
 
+// Removes a test directory however its scope is left, so a failed
+// assertion does not leak it.
+struct dir_remover {
+  std::string dir;
+  ~dir_remover() {
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
+  }
+};
+
 // -- Round trip + rotation ---------------------------------------------------
 
 TEST(PersistWal, RecoversEveryAppendedFrameAcrossRestart) {
@@ -352,6 +362,7 @@ TEST(PersistWal, SigkillMidAppendLeavesRecoverablePrefix) {
   for (int drill = 0; drill < 3; ++drill) {
     const std::string dir = fresh_dir("kill_" + std::to_string(drill));
     std::filesystem::create_directories(dir);
+    const dir_remover cleanup{dir};
 
     // Roomy store: the kill may land late, and the drill's invariant
     // ("every recovered key is present") only holds below capacity.
@@ -390,6 +401,12 @@ TEST(PersistWal, SigkillMidAppendLeavesRecoverablePrefix) {
         break;
       ::usleep(100);
     }
+    // What the child had made durable when it was struck: an absent or
+    // header-only segment means it never reached its first append.
+    std::error_code seg_ec;
+    const uintmax_t seg_bytes = std::filesystem::file_size(seg, seg_ec);
+    const std::string seg_at_kill =
+        seg_ec ? "absent" : std::to_string(seg_bytes) + " bytes";
     ASSERT_EQ(::kill(pid, SIGKILL), 0);
     int ws = 0;
     ASSERT_EQ(::waitpid(pid, &ws, 0), pid);
@@ -398,14 +415,14 @@ TEST(PersistWal, SigkillMidAppendLeavesRecoverablePrefix) {
     durability_engine eng(small_wal(dir));
     auto st = eng.recover(boot);
     const uint64_t prefix = eng.last_seq();
-    ASSERT_GE(prefix, 1u) << "drill " << drill;
+    ASSERT_GE(prefix, 1u) << "drill " << drill << ", segment 1 at kill: "
+                          << seg_at_kill;
     EXPECT_EQ(eng.stats().recovery_replayed_frames, prefix);
     for (uint64_t seq = 1; seq <= prefix; ++seq) {
       auto keys = keys_for(seq);
       ASSERT_EQ(st.count_contained(keys), keys.size())
           << "drill " << drill << " seq " << seq;
     }
-    std::filesystem::remove_all(dir);
   }
 }
 

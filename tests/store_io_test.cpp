@@ -34,6 +34,13 @@ store::filter_store populated(backend_kind backend, uint64_t seed) {
   return s;
 }
 
+// A snapshot path private to this process: ctest runs this suite at
+// several pool widths at once, and the runs must not share files.
+std::string temp_path(const std::string& name) {
+  return std::string(::testing::TempDir()) + name + "_" +
+         std::to_string(::getpid()) + ".gfs";
+}
+
 TEST(StoreIo, RoundTripsBitExactEveryBackend) {
   for (backend_kind backend : kAllBackends) {
     auto s = populated(backend, 301);
@@ -75,7 +82,7 @@ TEST(StoreIo, LoadedStoreStaysOperational) {
 }
 
 TEST(StoreIo, FileRoundTrip) {
-  std::string path = std::string(::testing::TempDir()) + "store_io_test.gfs";
+  const std::string path = temp_path("store_io_test");
   auto s = populated(backend_kind::tcf, 321);
   store::save_store(s, path);
   auto loaded = store::load_store(path);
@@ -166,7 +173,7 @@ TEST(StoreIo, RejectsPayloadDisagreement) {
 // with a SIGKILL torture loop.
 
 TEST(StoreIo, CrashMidSaveKeepsPreviousSnapshot) {
-  const std::string path = "/tmp/gf_atomic_save_test.gfs";
+  const std::string path = temp_path("gf_atomic_save_test");
   const std::string tmp = path + ".tmp";
   std::remove(path.c_str());
   std::remove(tmp.c_str());
@@ -203,7 +210,7 @@ TEST(StoreIo, SigkillDuringSaveLeavesLoadableSnapshot) {
   // at a different point each round; wherever the kill lands — mid-write,
   // mid-fsync, right before or after the rename — the snapshot at `path`
   // must stay loadable.
-  const std::string path = "/tmp/gf_atomic_sigkill_test.gfs";
+  const std::string path = temp_path("gf_atomic_sigkill_test");
   std::remove(path.c_str());
   std::remove((path + ".tmp").c_str());
 
